@@ -39,16 +39,23 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-# bench tracks the perf-critical hot paths — the sweep worker pool
-# (shards/s) and the PHY chain end-to-end, per-stage, and parallel
-# (µs/subframe, µs/stage) — and archives the parsed results as
-# BENCH_sweep.json so later PRs can diff them.
-bench:
-	{ $(GO) test -bench='BenchmarkSweepWorkerPool' -benchtime=$(BENCHTIME) -run='^$$' ./internal/sweep; \
+# BENCH_RUN runs the tracked benchmarks: the sweep worker pool (shards/s),
+# the PHY chain end-to-end, per-stage and parallel (µs/subframe, µs/stage),
+# the flight-recorder and history-plane overhead pairs, the simulator per
+# scheduler (subframes/s) and the bare discrete-event engine (ns/event).
+# The engine benchmark's op is one event, so it runs a fixed 2 000 000 of
+# them rather than BENCHTIME.
+BENCH_RUN = { $(GO) test -bench='BenchmarkSweepWorkerPool' -benchtime=$(BENCHTIME) -run='^$$' ./internal/sweep; \
 	  $(GO) test -bench='$(BENCH_PHY)' -benchtime=$(BENCHTIME) -run='^$$' .; \
 	  $(GO) test -bench='BenchmarkFlightRecorder' -benchtime=$(FLIGHT_BENCHTIME) -run='^$$' ./internal/harness; \
-	  $(GO) test -bench='BenchmarkScrapeEvaluate' -benchtime=$(HISTORY_BENCHTIME) -run='^$$' ./internal/harness; } \
-	| $(GO) run ./cmd/benchjson -out BENCH_sweep.json
+	  $(GO) test -bench='BenchmarkScrapeEvaluate' -benchtime=$(HISTORY_BENCHTIME) -run='^$$' ./internal/harness; \
+	  $(GO) test -bench='BenchmarkSchedulerThroughput' -benchtime=$(BENCHTIME) -run='^$$' .; \
+	  $(GO) test -bench='BenchmarkEngineThroughput' -benchtime=2000000x -run='^$$' ./internal/platform; }
+
+# bench archives the parsed results of BENCH_RUN as BENCH_sweep.json so
+# later PRs can diff them.
+bench:
+	$(BENCH_RUN) | $(GO) run ./cmd/benchjson -out BENCH_sweep.json
 
 # bench-all sweeps every benchmark once (no JSON artifact).
 bench-all:
@@ -63,11 +70,7 @@ bench-all:
 # over from one-time lazy growth jitter across runs. Regenerate the
 # baseline with `make bench` after an intentional perf change.
 bench-check:
-	{ $(GO) test -bench='BenchmarkSweepWorkerPool' -benchtime=$(BENCHTIME) -run='^$$' ./internal/sweep; \
-	  $(GO) test -bench='$(BENCH_PHY)' -benchtime=$(BENCHTIME) -run='^$$' .; \
-	  $(GO) test -bench='BenchmarkFlightRecorder' -benchtime=$(FLIGHT_BENCHTIME) -run='^$$' ./internal/harness; \
-	  $(GO) test -bench='BenchmarkScrapeEvaluate' -benchtime=$(HISTORY_BENCHTIME) -run='^$$' ./internal/harness; } \
-	| $(GO) run ./cmd/benchjson -check BENCH_sweep.json \
+	$(BENCH_RUN) | $(GO) run ./cmd/benchjson -check BENCH_sweep.json \
 		-tol ns/op=0.35 -tol us/subframe=0.35 -tol us/stage=0.35 \
 		-tol shards/s=0.35 -tol subframes/s=0.35 -tol B/op=1.0 \
 		-tol 'armed/disabled=0.05' -tol 'history/disabled=0.05'

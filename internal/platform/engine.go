@@ -1,7 +1,20 @@
 // Package platform provides the deterministic discrete-event engine the
 // C-RAN scheduler simulations run on. Time is a float64 microsecond clock;
-// events fire in nondecreasing time order with FIFO tie-breaking, so a run
-// is exactly reproducible from its inputs.
+// events fire in (time, scheduling order) order — nondecreasing time with
+// FIFO tie-breaking — so a run is exactly reproducible from its inputs.
+//
+// Pending events live in two structures. A sorted lane is a FIFO that takes
+// every event whose time is at or after its tail, so a caller scheduling in
+// nondecreasing time order (a trace's arrivals) pays one append and one pop
+// per event. Any earlier event goes to a typed 4-ary heap, which then holds
+// only the few events in flight. Each At takes the next sequence number, so
+// both structures stay sorted by (at, seq), and Step, taking the smaller of
+// the two heads, runs events in exactly the order one heap holding them all
+// would. A caller that stably sorts a batch of events by time before
+// scheduling it back to back therefore changes nothing but where the batch
+// waits: sequence numbers only break ties between equal times, equal times
+// within the batch keep their order, and every batch number stays on the
+// same side of every number outside it.
 //
 // The engine deliberately has no concept of goroutines or wall-clock time:
 // scheduler experiments need tens of thousands of 1 ms subframes with
@@ -10,13 +23,13 @@
 // paper's design (see DESIGN.md §1).
 package platform
 
-import "container/heap"
-
 // Engine is a single-threaded discrete-event simulator.
 type Engine struct {
 	now  float64
 	seq  int64
-	pq   eventHeap
+	heap []event
+	lane []event // lane[head:] are pending, sorted by (at, seq)
+	head int
 	hook Hook
 }
 
@@ -65,29 +78,78 @@ func Hooks(hooks ...Hook) Hook {
 	return &multiHook{hooks: live}
 }
 
+// event is one scheduled callback. Events run in (at, seq) order: time
+// first, then scheduling order, which makes ties FIFO.
 type event struct {
 	at  float64
 	seq int64
 	do  func()
 }
 
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
+func (a *event) before(b *event) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+
+// heapArity is the fan-out of the event heap: a 4-ary heap is half as deep
+// as a binary one, and a node's children share a cache line or two.
+const heapArity = 4
+
+func (e *Engine) heapPush(ev event) {
+	h := append(e.heap, ev)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / heapArity
+		if !h[i].before(&h[p]) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+	e.heap = h
+}
+
+func (e *Engine) heapPop() event {
+	h := e.heap
+	top := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h[n] = event{}
+	h = h[:n]
+	i := 0
+	for {
+		c := heapArity*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		for k := c + 1; k < c+heapArity && k < n; k++ {
+			if h[k].before(&h[m]) {
+				m = k
+			}
+		}
+		if !h[m].before(&h[i]) {
+			break
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
+	e.heap = h
+	return top
+}
+
+// next returns the earliest pending event without removing it, or nil.
+func (e *Engine) next() *event {
+	var lane, top *event
+	if e.head < len(e.lane) {
+		lane = &e.lane[e.head]
+	}
+	if len(e.heap) > 0 {
+		top = &e.heap[0]
+	}
+	if lane == nil || (top != nil && top.before(lane)) {
+		return top
+	}
+	return lane
 }
 
 // New creates an engine at time zero.
@@ -107,7 +169,25 @@ func (e *Engine) At(t float64, fn func()) {
 		e.hook.OnAt(t, e.now)
 	}
 	e.seq++
-	heap.Push(&e.pq, event{at: t, seq: e.seq, do: fn})
+	ev := event{at: t, seq: e.seq, do: fn}
+	if e.head == len(e.lane) || t >= e.lane[len(e.lane)-1].at {
+		e.laneAppend(ev)
+		return
+	}
+	e.heapPush(ev)
+}
+
+// laneAppend adds ev at the lane's tail, first sliding the pending part
+// down over the popped prefix when the slice is full and at least half
+// popped, so a lane that never drains still reuses its storage.
+func (e *Engine) laneAppend(ev event) {
+	if len(e.lane) == cap(e.lane) && e.head > 0 && 2*e.head >= len(e.lane) {
+		n := copy(e.lane, e.lane[e.head:])
+		clear(e.lane[n:])
+		e.lane = e.lane[:n]
+		e.head = 0
+	}
+	e.lane = append(e.lane, ev)
 }
 
 // After schedules fn to run d microseconds from now.
@@ -119,14 +199,24 @@ func (e *Engine) After(d float64, fn func()) {
 }
 
 // Pending reports the number of queued events.
-func (e *Engine) Pending() int { return e.pq.Len() }
+func (e *Engine) Pending() int { return len(e.heap) + len(e.lane) - e.head }
 
 // Step executes the next event and reports whether one existed.
 func (e *Engine) Step() bool {
-	if e.pq.Len() == 0 {
+	var ev event
+	switch next := e.next(); {
+	case next == nil:
 		return false
+	case len(e.heap) > 0 && next == &e.heap[0]:
+		ev = e.heapPop()
+	default:
+		ev = *next
+		*next = event{}
+		if e.head++; e.head == len(e.lane) {
+			e.lane = e.lane[:0]
+			e.head = 0
+		}
 	}
-	ev := heap.Pop(&e.pq).(event)
 	e.now = ev.at
 	ev.do()
 	if e.hook != nil {
@@ -144,7 +234,7 @@ func (e *Engine) Run() {
 // RunUntil executes events with time ≤ t, then advances the clock to t.
 // Events scheduled after t remain queued.
 func (e *Engine) RunUntil(t float64) {
-	for e.pq.Len() > 0 && e.pq[0].at <= t {
+	for next := e.next(); next != nil && next.at <= t; next = e.next() {
 		e.Step()
 	}
 	if t > e.now {

@@ -6,7 +6,18 @@ import (
 	"rtopex/internal/trace"
 )
 
-// serialExec runs one job's task sequence (FFT → demod → L decode
+// serialCore is a core that runs whole jobs through exec, one at a time,
+// and the outcome of its current job. done is the job's completion event,
+// bound once per core, so running a job schedules no new closure.
+type serialCore struct {
+	id   int
+	job  *Job
+	out  Outcome
+	proc float64 // start → completion; -1 for a drop
+	done func()
+}
+
+// exec runs one job's task sequence (FFT → demod → L decode
 // iterations) on a single core, with the slack-based deadline enforcement
 // of §4.1: before each task (and before each decode iteration — the finest
 // granularity at which the receiver can abandon work), the executor checks
@@ -22,8 +33,11 @@ import (
 // still running at its deadline is cut off there and the core freed at the
 // deadline; otherwise the job runs to natural completion and is late.
 //
-// done fires on the engine at the moment the core becomes free.
-func serialExec(env *Env, core int, j *Job, extra float64, terminateAtDeadline bool, done func(Outcome, float64)) {
+// The outcome lands in s.job, s.out and s.proc, and s.done fires on the
+// engine at the moment the core becomes free.
+func (s *serialCore) exec(env *Env, j *Job, extra float64, terminateAtDeadline bool) {
+	core := s.id
+	s.job = j
 	eng := env.Eng
 	start := eng.Now()
 	t := start + extra
@@ -31,28 +45,20 @@ func serialExec(env *Env, core int, j *Job, extra float64, terminateAtDeadline b
 		env.emit(core, j, trace.EvStart, "")
 	}
 
-	// Phase actual durations: estimates plus the jitter strike.
-	phases := make([]float64, 0, 2+j.L)
-	ests := make([]float64, 0, 2+j.L)
+	// Phases are FFT, demod and L decode iterations; the jitter strikes
+	// one of them, chosen per job.
+	n := 2 + j.L
+	strike := j.Index % n
 	perIter := j.Tasks.Decode / float64(j.L)
-	ests = append(ests, j.Tasks.FFT, j.Tasks.Demod)
-	for i := 0; i < j.L; i++ {
-		ests = append(ests, perIter)
-	}
-	strike := j.Index % len(ests)
-	for i, e := range ests {
-		a := e
-		if i == strike {
-			a += j.JitterUS
-			if a < 0 {
-				a = 0
-			}
+	for i := 0; i < n; i++ {
+		est := perIter
+		switch i {
+		case 0:
+			est = j.Tasks.FFT
+		case 1:
+			est = j.Tasks.Demod
 		}
-		phases = append(phases, a)
-	}
-
-	for i := range ests {
-		if t+ests[i] > j.Deadline {
+		if t+est > j.Deadline {
 			// Slack insufficient: drop now and free the core.
 			at := t
 			if at < start {
@@ -61,18 +67,27 @@ func serialExec(env *Env, core int, j *Job, extra float64, terminateAtDeadline b
 			if env.Trace != nil {
 				env.emitAt(at, core, j, trace.EvDrop, serialPhaseName(i))
 			}
-			eng.At(at, func() { done(OutcomeDropped, -1) })
+			s.out, s.proc = OutcomeDropped, -1
+			eng.At(at, s.done)
 			return
 		}
 		if env.Trace != nil {
 			env.emitAt(t, core, j, trace.EvPhase, serialPhaseName(i))
 		}
-		t += phases[i]
+		actual := est
+		if i == strike {
+			actual += j.JitterUS
+			if actual < 0 {
+				actual = 0
+			}
+		}
+		t += actual
 		if terminateAtDeadline && t > j.Deadline {
 			if env.Trace != nil {
 				env.emitAt(j.Deadline, core, j, trace.EvFinish, outcomeDetail(OutcomeLate))
 			}
-			eng.At(j.Deadline, func() { done(OutcomeLate, j.Deadline-start) })
+			s.out, s.proc = OutcomeLate, j.Deadline-start
+			eng.At(j.Deadline, s.done)
 			return
 		}
 	}
@@ -89,10 +104,11 @@ func serialExec(env *Env, core int, j *Job, extra float64, terminateAtDeadline b
 	if env.Trace != nil {
 		env.emitAt(finish, core, j, trace.EvFinish, outcomeDetail(out))
 	}
-	eng.At(finish, func() { done(out, proc) })
+	s.out, s.proc = out, proc
+	eng.At(finish, s.done)
 }
 
-// serialPhaseName labels serialExec's phase i for the trace.
+// serialPhaseName labels exec's phase i for the trace.
 func serialPhaseName(i int) string {
 	switch i {
 	case 0:

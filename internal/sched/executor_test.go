@@ -9,22 +9,20 @@ import (
 	"rtopex/internal/stats"
 )
 
-// execJob runs serialExec on a fresh engine and returns the outcome.
+// execJob runs a job through serialCore.exec on a fresh engine and returns
+// the outcome.
 func execJob(t *testing.T, j *Job, extra float64, terminate bool) (Outcome, float64, float64) {
 	t.Helper()
 	eng := platform.New()
 	env := &Env{Eng: eng, M: NewMetrics("test", 1)}
-	var out Outcome
-	var proc float64
 	done := false
-	serialExec(env, 0, j, extra, terminate, func(o Outcome, p float64) {
-		out, proc, done = o, p, true
-	})
+	c := &serialCore{done: func() { done = true }}
+	c.exec(env, j, extra, terminate)
 	eng.Run()
 	if !done {
-		t.Fatal("serialExec never completed")
+		t.Fatal("exec never completed")
 	}
-	return out, proc, eng.Now()
+	return c.out, c.proc, eng.Now()
 }
 
 func makeJob(tasks model.TaskTimes, l int, budget float64, jitter float64) *Job {

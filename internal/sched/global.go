@@ -3,6 +3,8 @@ package sched
 import (
 	"math"
 	"sort"
+
+	"rtopex/internal/trace"
 )
 
 // CacheModel captures the global scheduler's cache-thrashing overhead
@@ -41,7 +43,7 @@ type Global struct {
 }
 
 type gcore struct {
-	id     int
+	serialCore
 	busy   bool
 	lastBS int
 }
@@ -59,7 +61,9 @@ func (g *Global) Attach(env *Env) {
 	g.env = env
 	g.cores = make([]*gcore, env.Cores)
 	for i := range g.cores {
-		g.cores[i] = &gcore{id: i, lastBS: -1}
+		c := &gcore{serialCore: serialCore{id: i}, lastBS: -1}
+		c.done = func() { g.finish(c) }
+		g.cores[i] = c
 	}
 }
 
@@ -103,12 +107,15 @@ func (g *Global) dispatch(c *gcore, j *Job) {
 	}
 	c.busy = true
 	c.lastBS = j.BS
-	serialExec(g.env, c.id, j, extra, true, func(o Outcome, proc float64) {
-		g.env.M.Record(j, o, proc)
-		g.env.M.RecordGap(j, o, g.env.Eng.Now())
-		c.busy = false
-		g.drain(c)
-	})
+	c.exec(g.env, j, extra, true)
+}
+
+// finish is core c's completion event.
+func (g *Global) finish(c *gcore) {
+	g.env.M.Record(c.job, c.out, c.proc)
+	g.env.M.RecordGap(c.job, c.out, g.env.Eng.Now())
+	c.busy = false
+	g.drain(c)
 }
 
 // drain hands the next feasible queued job to a freed core, dropping jobs
@@ -119,6 +126,7 @@ func (g *Global) drain(c *gcore) {
 		j := g.queue[0]
 		g.queue = g.queue[1:]
 		if j.Deadline <= now {
+			g.env.emit(-1, j, trace.EvDrop, "expired")
 			g.env.M.Record(j, OutcomeDropped, -1)
 			continue
 		}
@@ -131,6 +139,7 @@ func (g *Global) drain(c *gcore) {
 // misses.
 func (g *Global) Finalize() {
 	for _, j := range g.queue {
+		g.env.emit(-1, j, trace.EvDrop, "unscheduled")
 		g.env.M.Record(j, OutcomeDropped, -1)
 	}
 	g.queue = nil

@@ -1,6 +1,10 @@
 package sched
 
-import "fmt"
+import (
+	"fmt"
+
+	"rtopex/internal/trace"
+)
 
 // Partitioned is the offline-partitioned scheduler of §3.1.1: basestation i
 // owns cores [i·c, (i+1)·c) where c = ⌈Tmax⌉ (in milliseconds), and
@@ -17,7 +21,7 @@ type Partitioned struct {
 }
 
 type pcore struct {
-	id      int
+	serialCore
 	busy    bool
 	pending []*Job // overflow queue; only populated under pathological overrun
 }
@@ -38,7 +42,9 @@ func (p *Partitioned) Attach(env *Env) {
 	p.env = env
 	p.cores = make([]*pcore, env.Cores)
 	for i := range p.cores {
-		p.cores[i] = &pcore{id: i}
+		c := &pcore{serialCore: serialCore{id: i}}
+		c.done = func() { p.finish(c) }
+		p.cores[i] = c
 	}
 }
 
@@ -56,6 +62,7 @@ func (p *Partitioned) OnArrival(j *Job) {
 	c, err := p.coreFor(j)
 	if err != nil {
 		// Misconfigured run: count as drop rather than crash the sim.
+		p.env.emit(-1, j, trace.EvDrop, "no-core")
 		p.env.M.Record(j, OutcomeDropped, -1)
 		return
 	}
@@ -69,16 +76,19 @@ func (p *Partitioned) OnArrival(j *Job) {
 
 func (p *Partitioned) start(c *pcore, j *Job) {
 	c.busy = true
-	serialExec(p.env, c.id, j, 0, false, func(o Outcome, proc float64) {
-		p.env.M.Record(j, o, proc)
-		p.env.M.RecordGap(j, o, p.env.Eng.Now())
-		c.busy = false
-		if len(c.pending) > 0 {
-			next := c.pending[0]
-			c.pending = c.pending[1:]
-			p.start(c, next)
-		}
-	})
+	c.exec(p.env, j, 0, false)
+}
+
+// finish is core c's completion event.
+func (p *Partitioned) finish(c *pcore) {
+	p.env.M.Record(c.job, c.out, c.proc)
+	p.env.M.RecordGap(c.job, c.out, p.env.Eng.Now())
+	c.busy = false
+	if len(c.pending) > 0 {
+		next := c.pending[0]
+		c.pending = c.pending[1:]
+		p.start(c, next)
+	}
 }
 
 // Finalize implements Scheduler.

@@ -174,6 +174,7 @@ func (p *PRAN) drain() {
 		j := p.queue[0]
 		if j.Deadline <= now {
 			p.queue = p.queue[1:]
+			p.env.emit(-1, j, trace.EvDrop, "expired")
 			p.env.M.Record(j, OutcomeDropped, -1)
 			continue
 		}
@@ -187,6 +188,7 @@ func (p *PRAN) drain() {
 // Finalize implements Scheduler.
 func (p *PRAN) Finalize() {
 	for _, j := range p.queue {
+		p.env.emit(-1, j, trace.EvDrop, "unscheduled")
 		p.env.M.Record(j, OutcomeDropped, -1)
 	}
 	p.queue = nil

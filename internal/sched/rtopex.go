@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"rtopex/internal/trace"
 )
@@ -43,6 +44,11 @@ type RTOPEX struct {
 
 	env   *Env
 	cores []*rcore
+	// Planning scratch reused by every planTask call.
+	hosts  []*rcore
+	free   []float64
+	counts []int
+	spare  []*migBatch // batches free for reuse
 }
 
 type rcore struct {
@@ -55,7 +61,32 @@ type rcore struct {
 	pending  []*Job
 	lastFree float64
 	everUsed bool
+	preempt  preemptCache // see predictedNextPreemption
+
+	// The running job's phase chain. Each step schedules at most one
+	// event, fire, which performs the next step; one set of fields per
+	// core therefore carries the chain without a closure per phase.
+	job     *Job
+	next    rstep
+	start   float64     // the job's start
+	phaseAt float64     // the decode task's start, for debugLate
+	local   float64     // its local share, jitter included, for debugLate
+	at      float64     // the time fire is scheduled for
+	strike  int         // the phase the job's platform error strikes
+	batches []*migBatch // the current task's migrated batches
+	fire    func()
 }
+
+// rstep is what a core's pending phase event does.
+type rstep int
+
+const (
+	stepFFTJoin    rstep = iota // local FFT share done: join the FFT batches
+	stepDemod                   // FFT done: run demod
+	stepDecode                  // demod done: run decode
+	stepDecodeJoin              // local decode share done: join the decode batches
+	stepFinish                  // decode done: record the outcome
+)
 
 // migBatch is a set of subtasks executing on a host core on behalf of a
 // job running elsewhere.
@@ -68,6 +99,30 @@ type migBatch struct {
 	start       float64
 	preemptedAt float64 // < 0 when not preempted
 	released    bool    // owner consumed or abandoned the batch
+	ended       bool    // its natural-completion event has run
+	complete    func()  // that event; bound once, kept across reuse
+}
+
+// newBatch takes a batch from the spare pool, or makes one.
+func (r *RTOPEX) newBatch() *migBatch {
+	if n := len(r.spare); n > 0 {
+		b := r.spare[n-1]
+		r.spare = r.spare[:n-1]
+		return b
+	}
+	b := &migBatch{}
+	b.complete = func() { r.batchCompleted(b) }
+	return b
+}
+
+// recycle returns b to the spare pool once nothing refers to it any more:
+// its owner has released it and its completion event has run (both of
+// which also leave its host's batch pointing elsewhere).
+func (r *RTOPEX) recycle(b *migBatch) {
+	if b.released && b.ended {
+		*b = migBatch{complete: b.complete}
+		r.spare = append(r.spare, b)
+	}
 }
 
 // debugLate, when set, observes late decode completions (test hook).
@@ -98,7 +153,9 @@ func (r *RTOPEX) Attach(env *Env) {
 	r.env = env
 	r.cores = make([]*rcore, env.Cores)
 	for i := range r.cores {
-		r.cores[i] = &rcore{id: i, bs: i / r.CoresPerBS, slot: i % r.CoresPerBS}
+		c := &rcore{id: i, bs: i / r.CoresPerBS, slot: i % r.CoresPerBS}
+		c.fire = func() { r.advance(c) }
+		r.cores[i] = c
 	}
 }
 
@@ -106,6 +163,7 @@ func (r *RTOPEX) Attach(env *Env) {
 func (r *RTOPEX) OnArrival(j *Job) {
 	idx := j.BS*r.CoresPerBS + j.Index%r.CoresPerBS
 	if idx >= len(r.cores) {
+		r.env.emit(-1, j, trace.EvDrop, "no-core")
 		r.env.M.Record(j, OutcomeDropped, -1)
 		return
 	}
@@ -131,37 +189,69 @@ func (r *RTOPEX) startJob(c *rcore, j *Job) {
 	now := r.env.Eng.Now()
 	r.env.emit(c.id, j, trace.EvStart, "")
 
-	// Jitter strike phase: same per-job placement rule as serialExec so
+	c.job = j
+	c.start = now
+	// Jitter strike phase: same per-job placement rule as serialCore.exec so
 	// workloads are comparable across schedulers.
-	strike := j.Index % (2 + j.L)
+	c.strike = j.Index % (2 + j.L)
+	r.phaseFFT(c, j, now)
+}
 
-	r.phaseFFT(c, j, now, now, strike)
+// then schedules step to run on core c at time t.
+func (r *RTOPEX) then(c *rcore, step rstep, t float64) {
+	c.next, c.at = step, t
+	r.env.Eng.At(t, c.fire)
+}
+
+// advance performs core c's pending step of its running job.
+func (r *RTOPEX) advance(c *rcore) {
+	j := c.job
+	switch c.next {
+	case stepFFTJoin:
+		r.then(c, stepDemod, r.join(c, c.at, j.FFTSubtaskUS))
+	case stepDemod:
+		r.phaseDemod(c, j, c.at)
+	case stepDecode:
+		r.phaseDecode(c, j, c.at)
+	case stepDecodeJoin:
+		r.then(c, stepFinish, r.join(c, c.at, j.DecodeSubtaskUS))
+	case stepFinish:
+		finish := c.at
+		out := OutcomeACK
+		switch {
+		case finish > j.Deadline:
+			out = OutcomeLate
+			if debugLate != nil {
+				debugLate(j, c.phaseAt, c.local, finish)
+			}
+		case !j.Decodable:
+			out = OutcomeDecodeFail
+		}
+		r.finishJob(c, j, out, finish-c.start, finish)
+	}
 }
 
 // phaseFFT runs the FFT task, migrating subtasks if enabled.
-func (r *RTOPEX) phaseFFT(c *rcore, j *Job, start, now float64, strike int) {
+func (r *RTOPEX) phaseFFT(c *rcore, j *Job, now float64) {
 	r.env.emit(c.id, j, trace.EvPhase, "fft")
 	r.env.M.FFTSubtasksTotal += j.FFTSubtasks
-	local, batches := r.planTask(c, j, now, j.FFTSubtasks, j.FFTSubtaskUS, r.MigrateFFT, false)
+	local := r.planTask(c, j, now, j.FFTSubtasks, j.FFTSubtaskUS, r.MigrateFFT, false)
 	localTime := float64(local) * j.FFTSubtaskUS
 	if now+localTime > j.Deadline {
-		r.abandon(batches, now)
+		r.abandon(c, now)
 		r.env.emit(c.id, j, trace.EvDrop, "fft")
 		r.finishJob(c, j, OutcomeDropped, -1, now)
 		return
 	}
-	r.env.M.FFTSubtasksMigrated += migratedCount(batches)
-	if strike == 0 {
+	r.env.M.FFTSubtasksMigrated += migratedCount(c.batches)
+	if c.strike == 0 {
 		localTime = math.Max(0, localTime+j.JitterUS)
 	}
-	r.env.Eng.At(now+localTime, func() {
-		joinAt := r.join(now+localTime, j.FFTSubtaskUS, batches)
-		r.env.Eng.At(joinAt, func() { r.phaseDemod(c, j, start, joinAt, strike) })
-	})
+	r.then(c, stepFFTJoin, now+localTime)
 }
 
 // phaseDemod runs the (serial) demod task.
-func (r *RTOPEX) phaseDemod(c *rcore, j *Job, start, now float64, strike int) {
+func (r *RTOPEX) phaseDemod(c *rcore, j *Job, now float64) {
 	if now+j.Tasks.Demod > j.Deadline {
 		r.env.emit(c.id, j, trace.EvDrop, "demod")
 		r.finishJob(c, j, OutcomeDropped, -1, now)
@@ -169,44 +259,30 @@ func (r *RTOPEX) phaseDemod(c *rcore, j *Job, start, now float64, strike int) {
 	}
 	r.env.emit(c.id, j, trace.EvPhase, "demod")
 	actual := j.Tasks.Demod
-	if strike == 1 {
+	if c.strike == 1 {
 		actual = math.Max(0, actual+j.JitterUS)
 	}
-	r.env.Eng.At(now+actual, func() { r.phaseDecode(c, j, start, now+actual, strike) })
+	r.then(c, stepDecode, now+actual)
 }
 
 // phaseDecode runs the decode task, migrating code blocks if enabled.
-func (r *RTOPEX) phaseDecode(c *rcore, j *Job, start, now float64, strike int) {
+func (r *RTOPEX) phaseDecode(c *rcore, j *Job, now float64) {
 	r.env.emit(c.id, j, trace.EvPhase, "decode")
 	r.env.M.DecodeSubtasksTotal += j.DecodeSubtasks
-	local, batches := r.planTask(c, j, now, j.DecodeSubtasks, j.DecodeSubtaskUS, r.MigrateDecode, true)
+	local := r.planTask(c, j, now, j.DecodeSubtasks, j.DecodeSubtaskUS, r.MigrateDecode, true)
 	localTime := float64(local) * j.DecodeSubtaskUS
 	if now+localTime > j.Deadline {
-		r.abandon(batches, now)
+		r.abandon(c, now)
 		r.env.emit(c.id, j, trace.EvDrop, "decode")
 		r.finishJob(c, j, OutcomeDropped, -1, now)
 		return
 	}
-	r.env.M.DecodeSubtasksMigrated += migratedCount(batches)
-	if strike >= 2 {
+	r.env.M.DecodeSubtasksMigrated += migratedCount(c.batches)
+	if c.strike >= 2 {
 		localTime = math.Max(0, localTime+j.JitterUS)
 	}
-	r.env.Eng.At(now+localTime, func() {
-		finish := r.join(now+localTime, j.DecodeSubtaskUS, batches)
-		r.env.Eng.At(finish, func() {
-			out := OutcomeACK
-			switch {
-			case finish > j.Deadline:
-				out = OutcomeLate
-				if debugLate != nil {
-					debugLate(j, now, localTime, finish)
-				}
-			case !j.Decodable:
-				out = OutcomeDecodeFail
-			}
-			r.finishJob(c, j, out, finish-start, finish)
-		})
-	})
+	c.phaseAt, c.local = now, localTime
+	r.then(c, stepDecodeJoin, now+localTime)
 }
 
 func (r *RTOPEX) finishJob(c *rcore, j *Job, out Outcome, proc float64, at float64) {
@@ -226,13 +302,14 @@ func (r *RTOPEX) finishJob(c *rcore, j *Job, out Outcome, proc float64, at float
 }
 
 // planTask applies Algorithm 1 across currently idle cores and installs the
-// migrated batches. It returns the number of subtasks kept local.
-func (r *RTOPEX) planTask(c *rcore, j *Job, now float64, subtasks int, tp float64, enabled bool, decode bool) (int, []*migBatch) {
+// migrated batches in c.batches. It returns the number of subtasks kept
+// local.
+func (r *RTOPEX) planTask(c *rcore, j *Job, now float64, subtasks int, tp float64, enabled bool, decode bool) int {
+	c.batches = c.batches[:0]
 	if !enabled || subtasks <= 1 || tp <= 0 {
-		return subtasks, nil
+		return subtasks
 	}
-	var hosts []*rcore
-	var free []float64
+	hosts, free := r.hosts[:0], r.free[:0]
 	for _, k := range r.cores {
 		if k == c || k.running || k.batch != nil {
 			continue
@@ -247,20 +324,22 @@ func (r *RTOPEX) planTask(c *rcore, j *Job, now float64, subtasks int, tp float6
 		hosts = append(hosts, k)
 		free = append(free, fck)
 	}
+	r.hosts, r.free = hosts, free
 	if len(hosts) == 0 {
-		return subtasks, nil
+		return subtasks
 	}
-	counts := Algorithm1(subtasks, tp, r.DeltaUS, r.PerSubtaskDelta, r.GreedyAll, free)
+	counts := algorithm1Into(r.counts, subtasks, tp, r.DeltaUS, r.PerSubtaskDelta, r.GreedyAll, free)
+	r.counts = counts
 	local := subtasks
-	var batches []*migBatch
 	for i, n := range counts {
 		if n <= 0 {
 			continue
 		}
-		b := &migBatch{host: hosts[i], owner: j, decode: decode, count: n, tp: tp, start: now, preemptedAt: -1}
+		b := r.newBatch()
+		b.host, b.owner, b.decode, b.count, b.tp, b.start, b.preemptedAt = hosts[i], j, decode, n, tp, now, -1
 		hosts[i].batch = b
 		local -= n
-		batches = append(batches, b)
+		c.batches = append(c.batches, b)
 		r.env.M.MigrationBatches++
 		if decode {
 			r.env.M.DecodeBatches++
@@ -270,17 +349,21 @@ func (r *RTOPEX) planTask(c *rcore, j *Job, now float64, subtasks int, tp float6
 		if r.env.Trace != nil {
 			r.env.emit(b.host.id, j, trace.EvMigPlan, fmt.Sprintf("%s n=%d", taskName(decode), n))
 		}
-		// Natural completion releases the host (state 2 → state 1).
-		end := r.batchEnd(b)
-		r.env.Eng.At(end, func() {
-			if b.host.batch == b && b.preemptedAt < 0 {
-				b.host.batch = nil
-				b.host.lastFree = r.env.Eng.Now()
-				r.env.emit(b.host.id, b.owner, trace.EvMigComplete, "")
-			}
-		})
+		r.env.Eng.At(r.batchEnd(b), b.complete)
 	}
-	return local, batches
+	return local
+}
+
+// batchCompleted is b's natural completion. It releases the host (state 2
+// → state 1) unless a preemption or a recompute already did.
+func (r *RTOPEX) batchCompleted(b *migBatch) {
+	if b.host.batch == b && b.preemptedAt < 0 {
+		b.host.batch = nil
+		b.host.lastFree = r.env.Eng.Now()
+		r.env.emit(b.host.id, b.owner, trace.EvMigComplete, "")
+	}
+	b.ended = true
+	r.recycle(b)
 }
 
 // batchEnd is the natural completion time of a batch on its host.
@@ -313,10 +396,10 @@ func (r *RTOPEX) completedBy(b *migBatch, t float64) int {
 // localFinish: ready results are consumed; preempted or slow batches are
 // recovered by local recomputation (or awaited when provably cheaper and
 // NoWait is unset). It returns the task completion time.
-func (r *RTOPEX) join(localFinish, tp float64, batches []*migBatch) float64 {
+func (r *RTOPEX) join(c *rcore, localFinish, tp float64) float64 {
 	finish := localFinish
 	var recovery float64
-	for _, b := range batches {
+	for _, b := range c.batches {
 		b.released = true
 		switch {
 		case b.preemptedAt >= 0:
@@ -366,7 +449,9 @@ func (r *RTOPEX) join(localFinish, tp float64, batches []*migBatch) float64 {
 				}
 			}
 		}
+		r.recycle(b)
 	}
+	c.dropBatches()
 	return finish + recovery
 }
 
@@ -374,8 +459,8 @@ func (r *RTOPEX) join(localFinish, tp float64, batches []*migBatch) float64 {
 // the migration counters planTask booked: an abandoned batch never ran on
 // behalf of a completed subframe, so counting it would inflate the
 // migration fractions of Fig. 16 with work that was thrown away.
-func (r *RTOPEX) abandon(batches []*migBatch, now float64) {
-	for _, b := range batches {
+func (r *RTOPEX) abandon(c *rcore, now float64) {
+	for _, b := range c.batches {
 		b.released = true
 		r.env.M.MigrationBatches--
 		if b.decode {
@@ -388,7 +473,16 @@ func (r *RTOPEX) abandon(batches []*migBatch, now float64) {
 			b.host.batch = nil
 			b.host.lastFree = now
 		}
+		r.recycle(b)
 	}
+	c.dropBatches()
+}
+
+// dropBatches empties c.batches once join or abandon has released them, so
+// the core holds no pointer to a batch the spare pool may hand out again.
+func (c *rcore) dropBatches() {
+	clear(c.batches)
+	c.batches = c.batches[:0]
 }
 
 // predictedNextPreemption estimates when core k must next be surrendered to
@@ -400,23 +494,64 @@ func (r *RTOPEX) abandon(batches []*migBatch, now float64) {
 // which would otherwise preempt a freshly placed batch almost immediately.
 // Past the end of the trace it returns +Inf.
 func (r *RTOPEX) predictedNextPreemption(k *rcore, now float64) float64 {
-	c := float64(r.CoresPerBS)
-	// Expected arrivals for this core: (slot + m·c)·1000 + E[RTT/2].
-	first := float64(k.slot)*1000 + r.env.ExpectedRTT2
-	t := first
-	if now >= first {
-		m := math.Ceil((now - first) / (1000 * c))
-		t = first + m*1000*c
-		if t <= now {
-			t += 1000 * c
-		}
+	pc := &k.preempt
+	if !pc.ok || !(now >= pc.lo && now <= pc.hi) {
+		r.refreshPreempt(k, now)
+	}
+	t, idx := pc.t, pc.tIdx
+	if t <= now {
+		t, idx = pc.next, pc.nextIdx
 	}
 	// Index bound: no arrivals after the last subframe.
-	idx := k.slot + int((t-first)/1000+0.5)
 	if idx >= r.env.SubframesPerBS {
 		return math.Inf(1)
 	}
 	return t
+}
+
+// preemptCache holds one core's predictedNextPreemption inputs for the
+// span of now over which the frame index m of the next expected arrival
+// stays the same. planTask asks for every idle core's prediction at every
+// plan, many times per frame, so the closed form is worked out once per
+// core and frame instead.
+type preemptCache struct {
+	ok     bool
+	lo, hi float64 // m is the same for every now in [lo, hi]
+	// t is the m-th expected arrival and next the one after it, each with
+	// its subframe index. now ≥ t selects next.
+	t, next       float64
+	tIdx, nextIdx int
+}
+
+// refreshPreempt recomputes core k's cache at now. The expected arrivals
+// for the core are (slot + m·c)·1000 + E[RTT/2], and the next one after now
+// has m = ⌈(now − first)/(1000·c)⌉, bumped by one when that lands on now.
+// Every value is evaluated with the same expressions, in the same order, as
+// that closed form, so the cache returns it bit for bit. The window [lo, hi]
+// is exact too: (now − first)/(1000·c) is nondecreasing in now under
+// rounding, so every now between lo (this query, whose quotient is above
+// m − 1) and hi (a time whose quotient is at most m) has the same m.
+func (r *RTOPEX) refreshPreempt(k *rcore, now float64) {
+	c := float64(r.CoresPerBS)
+	first := float64(k.slot)*1000 + r.env.ExpectedRTT2
+	quotient := func(x float64) float64 { return (x - first) / (1000 * c) }
+	m, lo := 0.0, math.Inf(-1)
+	if now >= first {
+		m = math.Ceil(quotient(now))
+		lo = now
+	}
+	t := first + m*1000*c
+	next := t + 1000*c
+	// t, or a float a few ulps below it, is the last time still in frame m.
+	hi := t
+	for i := 0; i < 4 && !(quotient(hi) <= m); i++ {
+		hi = math.Nextafter(hi, math.Inf(-1))
+	}
+	if !(quotient(hi) <= m) {
+		hi = math.Inf(-1) // no window found: recompute on every query
+	}
+	index := func(t float64) int { return k.slot + int((t-first)/1000+0.5) }
+	k.preempt = preemptCache{ok: true, lo: lo, hi: hi, t: t, next: next, tIdx: index(t), nextIdx: index(next)}
 }
 
 // taskName labels a batch's task type for the trace.
@@ -452,7 +587,14 @@ func (r *RTOPEX) Finalize() {}
 // limoff (the listing's ⌊fck/(tp+δ)⌋); otherwise δ is charged once per
 // batch.
 func Algorithm1(p int, tp, delta float64, perSubtaskDelta, greedy bool, free []float64) []int {
-	counts := make([]int, len(free))
+	return algorithm1Into(nil, p, tp, delta, perSubtaskDelta, greedy, free)
+}
+
+// algorithm1Into is Algorithm1 writing its counts into dst's storage,
+// which it grows as needed; the previous contents of dst do not matter.
+func algorithm1Into(dst []int, p int, tp, delta float64, perSubtaskDelta, greedy bool, free []float64) []int {
+	counts := slices.Grow(dst[:0], len(free))[:len(free)]
+	clear(counts)
 	if p <= 1 || tp <= 0 {
 		return counts
 	}

@@ -13,7 +13,9 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"rtopex/internal/flight"
 	"rtopex/internal/lte"
@@ -348,6 +350,23 @@ type RunConfig struct {
 	FlightReports func(endUS float64) []obs.CoreReport
 }
 
+// arrivalOrder returns every job of the workload, stably sorted by arrival
+// time: equal arrivals keep their (bs, j) order.
+func (w *Workload) arrivalOrder() []*Job {
+	var n int
+	for bs := range w.Jobs {
+		n += len(w.Jobs[bs])
+	}
+	order := make([]*Job, 0, n)
+	for bs := range w.Jobs {
+		for j := range w.Jobs[bs] {
+			order = append(order, &w.Jobs[bs][j])
+		}
+	}
+	slices.SortStableFunc(order, func(a, b *Job) int { return cmp.Compare(a.Arrival, b.Arrival) })
+	return order
+}
+
 // RunConfigured is the fully general run entry point.
 func RunConfigured(w *Workload, s Scheduler, rc RunConfig) (*Metrics, error) {
 	if rc.Cores < 1 {
@@ -382,24 +401,29 @@ func RunConfigured(w *Workload, s Scheduler, rc RunConfig) (*Metrics, error) {
 		env.Trace = trace.Tee(rc.Tracer, tap)
 	}
 	s.Attach(env)
-	for bs := range w.Jobs {
-		for j := range w.Jobs[bs] {
-			job := &w.Jobs[bs][j]
-			if env.Trace == nil {
-				// Keep the untraced arrival closure minimal: this loop body
-				// allocates once per job and dominates run setup.
-				eng.At(job.Arrival, func() { s.OnArrival(job) })
-				continue
+	// Arrivals are scheduled in stable Arrival order, so they all land in
+	// the engine's sorted lane and its heap holds only in-flight events.
+	// Events run in the same order as when arrivals were scheduled cell by
+	// cell: arrivals still take the lowest sequence numbers, and equal
+	// arrival times keep their (bs, j) order. The engine runs the arrivals
+	// in exactly the order they are scheduled here, so one closure walking
+	// the sorted slice delivers them.
+	arrivals := w.arrivalOrder()
+	next := 0
+	arrive := func() {
+		job := arrivals[next]
+		next++
+		if env.Trace != nil {
+			detail := ""
+			if job.Tx {
+				detail = "tx"
 			}
-			eng.At(job.Arrival, func() {
-				detail := ""
-				if job.Tx {
-					detail = "tx"
-				}
-				env.emit(-1, job, trace.EvArrive, detail)
-				s.OnArrival(job)
-			})
+			env.emit(-1, job, trace.EvArrive, detail)
 		}
+		s.OnArrival(job)
+	}
+	for _, job := range arrivals {
+		eng.At(job.Arrival, arrive)
 	}
 	eng.Run()
 	s.Finalize()

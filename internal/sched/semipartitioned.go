@@ -1,5 +1,7 @@
 package sched
 
+import "rtopex/internal/trace"
+
 // SemiPartitioned is the task-level-migration baseline from the
 // semi-partitioned literature the paper cites (§1, Bastoni et al.): jobs
 // are partitioned as usual, but a job may be pushed — whole, not split —
@@ -26,7 +28,7 @@ type SemiPartitioned struct {
 }
 
 type spcore struct {
-	id      int
+	serialCore
 	bs      int
 	slot    int
 	busy    bool
@@ -49,7 +51,9 @@ func (s *SemiPartitioned) Attach(env *Env) {
 	s.env = env
 	s.cores = make([]*spcore, env.Cores)
 	for i := range s.cores {
-		s.cores[i] = &spcore{id: i, bs: i / s.CoresPerBS, slot: i % s.CoresPerBS}
+		c := &spcore{serialCore: serialCore{id: i}, bs: i / s.CoresPerBS, slot: i % s.CoresPerBS}
+		c.done = func() { s.finish(c) }
+		s.cores[i] = c
 	}
 }
 
@@ -57,6 +61,7 @@ func (s *SemiPartitioned) Attach(env *Env) {
 func (s *SemiPartitioned) OnArrival(j *Job) {
 	idx := j.BS*s.CoresPerBS + j.Index%s.CoresPerBS
 	if idx >= len(s.cores) {
+		s.env.emit(-1, j, trace.EvDrop, "no-core")
 		s.env.M.Record(j, OutcomeDropped, -1)
 		return
 	}
@@ -133,16 +138,19 @@ func (s *SemiPartitioned) nextOwnArrival(k *spcore, now float64) float64 {
 
 func (s *SemiPartitioned) start(c *spcore, j *Job, extra float64) {
 	c.busy = true
-	serialExec(s.env, c.id, j, extra, false, func(o Outcome, proc float64) {
-		s.env.M.Record(j, o, proc)
-		s.env.M.RecordGap(j, o, s.env.Eng.Now())
-		c.busy = false
-		if len(c.pending) > 0 {
-			next := c.pending[0]
-			c.pending = c.pending[1:]
-			s.OnArrival(next)
-		}
-	})
+	c.exec(s.env, j, extra, false)
+}
+
+// finish is core c's completion event.
+func (s *SemiPartitioned) finish(c *spcore) {
+	s.env.M.Record(c.job, c.out, c.proc)
+	s.env.M.RecordGap(c.job, c.out, s.env.Eng.Now())
+	c.busy = false
+	if len(c.pending) > 0 {
+		next := c.pending[0]
+		c.pending = c.pending[1:]
+		s.OnArrival(next)
+	}
 }
 
 // Finalize implements Scheduler.

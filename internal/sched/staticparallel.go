@@ -61,6 +61,7 @@ func (s *StaticParallel) Attach(env *Env) {
 // OnArrival implements Scheduler.
 func (s *StaticParallel) OnArrival(j *Job) {
 	if j.BS >= len(s.cores) {
+		s.env.emit(-1, j, trace.EvDrop, "no-core")
 		s.env.M.Record(j, OutcomeDropped, -1)
 		return
 	}

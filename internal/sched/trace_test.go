@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"testing"
 
+	"rtopex/internal/lte"
 	"rtopex/internal/model"
 	"rtopex/internal/platform"
 	"rtopex/internal/stats"
 	"rtopex/internal/trace"
+	"rtopex/internal/transport"
 )
 
 // TestRTOPEXAbandonedBatchCountersReversed is the regression test for the
@@ -188,5 +190,60 @@ func TestTracingDoesNotChangeMetrics(t *testing.T) {
 	}
 	if !bytes.Equal(run(nil), run(trace.NewRing(0))) {
 		t.Fatal("tracing changed the simulation's metrics")
+	}
+}
+
+// TestEveryDropIsTraced is the regression test for drops that left no
+// trace event: global EDF's expired and never-dispatched queue entries and
+// the out-of-range-core drops of the partitioned schedules (and the same
+// gaps in PRAN, semi-partitioned and static-parallel) were booked as
+// OutcomeDropped without an EvDrop, so trace readers and the flight
+// recorder missed them. On an overloaded run (4 cells at MCS 27 on 3
+// cores) every dropped outcome must have exactly one EvDrop.
+func TestEveryDropIsTraced(t *testing.T) {
+	w, err := BuildWorkload(WorkloadConfig{
+		Basestations: 4, Subframes: 2000, Antennas: 2, Bandwidth: lte.BW10MHz,
+		SNRdB: 30, Lm: 4,
+		Params: model.PaperGPP, Jitter: model.DefaultJitter, IterLaw: model.DefaultIterationLaw,
+		FixedMCS:  27,
+		Transport: transport.FixedPath{OneWay: 500}, ExpectedRTT2US: 500, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		s      Scheduler
+		detail string // a drop detail the run must produce
+	}{
+		{NewRTOPEX(2), "no-core"},
+		{NewGlobal(), "expired"},
+		{NewPartitioned(2), "no-core"},
+		{NewPRAN(), "expired"},
+		{NewSemiPartitioned(2), "no-core"},
+		{NewStaticParallel(2), "no-core"},
+	} {
+		ring := trace.NewRing(0)
+		m, err := RunConfigured(w, tc.s, RunConfig{Cores: 3, Tracer: ring})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dropped := 0
+		for _, b := range m.PerBS {
+			dropped += b.Dropped
+		}
+		events, sawDetail := 0, false
+		for _, e := range ring.Events() {
+			if e.Event == trace.EvDrop {
+				events++
+				sawDetail = sawDetail || e.Detail == tc.detail
+			}
+		}
+		if dropped == 0 || !sawDetail {
+			t.Fatalf("%s: %d drops, %q drop traced: %v; the run does not exercise the untraced path",
+				tc.s.Name(), dropped, tc.detail, sawDetail)
+		}
+		if events != dropped {
+			t.Errorf("%s: %d dropped outcomes but %d EvDrop events", tc.s.Name(), dropped, events)
+		}
 	}
 }
