@@ -16,9 +16,9 @@ FLIGHT_BENCHTIME ?= 30x
 # sit still inside the ±5% tolerance.
 HISTORY_BENCHTIME ?= 100x
 
-.PHONY: ci build test vet race fmt-check bench bench-all bench-check trace-demo sweep-check sweep-check-full baselines baselines-full obs-smoke fleet-smoke flight-smoke slo-smoke profile-phy phy-speedup
+.PHONY: ci build test vet race fmt-check bench bench-all bench-check trace-demo sweep-check sweep-check-full baselines baselines-full obs-smoke fleet-smoke flight-smoke slo-smoke profile-phy phy-speedup fuzz-smoke
 
-ci: vet build race fmt-check sweep-check bench-check phy-speedup obs-smoke fleet-smoke flight-smoke slo-smoke
+ci: vet build race fmt-check fuzz-smoke sweep-check bench-check phy-speedup obs-smoke fleet-smoke flight-smoke slo-smoke
 
 build:
 	$(GO) build ./...
@@ -31,6 +31,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# fuzz-smoke runs each fuzz target for a fixed 10 s on top of its seed
+# corpus: the trace loader and the collector's wire decoder.
+fuzz-smoke:
+	$(GO) test -run='^$$' -fuzz='^FuzzRead$$' -fuzztime=10s ./internal/trace
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeWire$$' -fuzztime=10s ./internal/obs
 
 # fmt-check fails when any file needs gofmt.
 fmt-check:

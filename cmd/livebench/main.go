@@ -46,7 +46,7 @@ func main() {
 		snr       = flag.Float64("snr", 30, "SNR in dB")
 		dilation  = flag.Float64("dilation", 50, "subframe-clock dilation factor")
 		phyWork   = flag.Int("phy-workers", 1, "subtask workers per core (parallel PHY fast path; ≤1 = serial)")
-		pipeDepth = flag.Int("pipeline-depth", 1, "cross-subframe window per core (≥2 overlaps consecutive subframes' stages; ≤1 = serial)")
+		pipeDepth = flag.Int("pipeline-depth", 1, "cross-subframe window per core: subframes its phy.Pipeliner processes at once (≥2 overlaps consecutive subframes' stages; ≤1 = one at a time)")
 		seed      = flag.Uint64("seed", 1, "random seed")
 		httpAddr  = flag.String("http", "", "serve /metrics, /debug/vars, /debug/pprof, health probes and the /api history endpoints on this address (e.g. :6060) during the run")
 		pushAddr  = flag.String("push", "", "stream registry snapshots to the obscollect collector at this address (host:port)")

@@ -131,8 +131,16 @@ func (c *Collector) evictLocked() int {
 
 // MergedRegistry merges every live source's snapshot into a fresh registry.
 // Sources merge in sorted-ID order, so gauge collisions (last set wins)
-// resolve deterministically.
+// resolve deterministically. A series whose name an earlier source pushed
+// under another kind is left out; the dashboard and the dump count them.
 func (c *Collector) MergedRegistry() *Registry {
+	reg, _ := c.merge()
+	return reg
+}
+
+// merge builds the merged registry and counts the series it left out for a
+// kind conflict across sources.
+func (c *Collector) merge() (reg *Registry, conflicts int) {
 	c.mu.Lock()
 	c.evictLocked()
 	snaps := make([]*Snapshot, 0, len(c.src))
@@ -147,11 +155,11 @@ func (c *Collector) MergedRegistry() *Registry {
 		}
 	}
 	c.mu.Unlock()
-	reg := NewRegistry()
+	reg = NewRegistry()
 	for _, s := range snaps {
-		reg.MergeSnapshot(s)
+		conflicts += reg.MergeSnapshot(s)
 	}
-	return reg
+	return reg, conflicts
 }
 
 // Merged returns the cross-source merged snapshot.
@@ -198,17 +206,22 @@ type Dump struct {
 	Written     time.Time      `json:"written"`
 	Evicted     int64          `json:"evicted,omitempty"`
 	Sources     []SourceStatus `json:"sources"`
-	Merged      *Snapshot      `json:"merged"`
+	// KindConflicts counts the series the merge left out because another
+	// source pushed their name under a different kind.
+	KindConflicts int       `json:"kind_conflicts,omitempty"`
+	Merged        *Snapshot `json:"merged"`
 }
 
 // Dump captures the collector's full state for archival.
 func (c *Collector) Dump() *Dump {
+	reg, conflicts := c.merge()
 	return &Dump{
-		WireVersion: WireVersion,
-		Written:     c.now(),
-		Evicted:     c.Evicted(),
-		Sources:     c.Sources(),
-		Merged:      c.Merged(),
+		WireVersion:   WireVersion,
+		Written:       c.now(),
+		Evicted:       c.Evicted(),
+		Sources:       c.Sources(),
+		KindConflicts: conflicts,
+		Merged:        reg.Snapshot(),
 	}
 }
 
@@ -296,10 +309,14 @@ func (c *Collector) writeSources(w io.Writer) {
 // per-core busy/migration/idle fractions per source.
 func (c *Collector) WriteDashboard(w io.Writer) {
 	srcs := c.Sources()
-	merged := c.Merged()
+	reg, conflicts := c.merge()
+	merged := reg.Snapshot()
 	fmt.Fprintf(w, "rtopex obscollect — %d source(s), %d evicted, up %s\n\n",
 		len(srcs), c.Evicted(), c.now().Sub(c.started).Truncate(time.Second))
 	c.writeSources(w)
+	if conflicts > 0 {
+		fmt.Fprintf(w, "\nkind conflicts: %d series left out of the merge (a name pushed as two kinds)\n", conflicts)
+	}
 
 	// Fleet-wide sweep progress from the merged counters (exact sums).
 	if total, ok := merged.CounterValue("rtopex_sweep_units_total"); ok {

@@ -265,3 +265,41 @@ func TestCollectorDump(t *testing.T) {
 }
 
 var _ io.Reader = (*errAfterReader)(nil)
+
+// TestCollectorKindConflictAcrossSources: two sources may each push a valid
+// snapshot naming "m" as a different kind. The merge must not panic — the
+// history plane runs it on its own goroutine, so a panic would take the
+// daemon down — and must keep the first source's kind and count the
+// conflict.
+func TestCollectorKindConflictAcrossSources(t *testing.T) {
+	col := NewCollector(CollectorConfig{})
+	a := NewRegistry()
+	a.Counter("m").Add(3)
+	b := NewRegistry()
+	b.Histogram("m").Observe(1)
+	b.Counter("other_total").Inc()
+	for id, reg := range map[string]*Registry{"a": a, "b": b} {
+		if _, err := col.Ingest(wireFor(t, id, 1, false, reg)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	merged := col.Merged()
+	if v, ok := merged.CounterValue("m"); !ok || v != 3 {
+		t.Fatalf("m = %d (present %v), want source a's counter 3", v, ok)
+	}
+	if v, ok := merged.CounterValue("other_total"); !ok || v != 1 {
+		t.Fatalf("other_total = %d (present %v), want 1", v, ok)
+	}
+	if len(merged.Histograms) != 0 {
+		t.Fatalf("conflicting histogram merged: %+v", merged.Histograms)
+	}
+	if got := col.Dump().KindConflicts; got != 1 {
+		t.Fatalf("dump counts %d kind conflicts, want 1", got)
+	}
+	var dash bytes.Buffer
+	col.WriteDashboard(&dash)
+	if !strings.Contains(dash.String(), "kind conflicts: 1") {
+		t.Fatalf("dashboard does not report the conflict:\n%s", dash.String())
+	}
+	NewFleetHistory(col, FleetHistoryConfig{}).Tick()
+}

@@ -161,6 +161,16 @@ func (r *Registry) Histogram(name string, labels ...Label) *Histogram {
 }
 
 func (r *Registry) getSeries(name string, k kind, labels []Label) *series {
+	s, err := r.lookup(name, k, labels)
+	if err != nil {
+		panic(err.Error())
+	}
+	return s
+}
+
+// lookup returns (creating if needed) the series name{labels} of kind k, or
+// an error when name is already registered under another kind.
+func (r *Registry) lookup(name string, k kind, labels []Label) (*series, error) {
 	key := canonicalLabels(labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -169,7 +179,7 @@ func (r *Registry) getSeries(name string, k kind, labels []Label) *series {
 		f = &family{name: name, k: k, series: map[string]*series{}}
 		r.fams[name] = f
 	} else if len(f.series) > 0 && f.k != k {
-		panic(fmt.Sprintf("obs: metric %q is a %s, requested as %s", name, f.k, k))
+		return nil, fmt.Errorf("obs: metric %q is a %s, requested as %s", name, f.k, k)
 	} else if len(f.series) == 0 {
 		f.k = k
 	}
@@ -186,7 +196,7 @@ func (r *Registry) getSeries(name string, k kind, labels []Label) *series {
 		}
 		f.series[key] = s
 	}
-	return s
+	return s, nil
 }
 
 // sortedLabels returns a copy of labels sorted by key (ties by value).

@@ -80,26 +80,73 @@ func (r *Registry) Snapshot() *Snapshot {
 	return snap
 }
 
+// validate rejects what a registry cannot hold: a name under two kinds,
+// and a negative counter.
+func (s *Snapshot) validate() error {
+	kinds := map[string]kind{}
+	claim := func(name string, k kind) error {
+		if prev, ok := kinds[name]; ok && prev != k {
+			return fmt.Errorf("obs: metric %q is both a %s and a %s", name, prev, k)
+		}
+		kinds[name] = k
+		return nil
+	}
+	for _, c := range s.Counters {
+		if c.Value < 0 {
+			return fmt.Errorf("obs: counter %q is negative (%d)", c.Name, c.Value)
+		}
+		if err := claim(c.Name, counterKind); err != nil {
+			return err
+		}
+	}
+	for _, g := range s.Gauges {
+		if err := claim(g.Name, gaugeKind); err != nil {
+			return err
+		}
+	}
+	for _, h := range s.Histograms {
+		if err := claim(h.Name, histogramKind); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // MergeSnapshot folds a snapshot into the registry: counters and histogram
 // buckets add, gauges overwrite. This is the cross-shard (and cross-machine)
 // aggregation path: merging per-shard snapshots produces exactly the
-// registry a serial run over all shards would have built.
-func (r *Registry) MergeSnapshot(s *Snapshot) {
+// registry a serial run over all shards would have built. A series whose
+// name the registry already holds under another kind is skipped; the return
+// value counts the skipped series.
+func (r *Registry) MergeSnapshot(s *Snapshot) (conflicts int) {
 	if s == nil {
-		return
+		return 0
 	}
 	for name, help := range s.Help {
 		r.SetHelp(name, help)
 	}
 	for _, c := range s.Counters {
-		r.Counter(c.Name, c.Labels...).Add(c.Value)
+		if se, err := r.lookup(c.Name, counterKind, c.Labels); err == nil {
+			se.c.Add(c.Value)
+		} else {
+			conflicts++
+		}
 	}
 	for _, g := range s.Gauges {
-		r.Gauge(g.Name, g.Labels...).Set(g.Value)
+		if se, err := r.lookup(g.Name, gaugeKind, g.Labels); err == nil {
+			se.g.Set(g.Value)
+		} else {
+			conflicts++
+		}
 	}
 	for _, h := range s.Histograms {
-		r.Histogram(h.Name, h.Labels...).MergeValue(h.Value)
+		if se, err := r.lookup(h.Name, histogramKind, h.Labels); err == nil {
+			se.h.MergeValue(h.Value)
+		} else {
+			conflicts++
+		}
 	}
+	return conflicts
 }
 
 // Merge folds another snapshot into s (without a registry): counters and

@@ -89,7 +89,7 @@ func (ws *WireSnapshot) Validate() error {
 	if ws.Snapshot == nil {
 		return fmt.Errorf("obs: wire snapshot without payload")
 	}
-	return nil
+	return ws.Snapshot.validate()
 }
 
 func sortedWireVersions() []int {

@@ -162,3 +162,20 @@ func TestWireVersionAndValidation(t *testing.T) {
 		t.Fatal("encode accepted an envelope without a source id")
 	}
 }
+
+// TestWireRejectsUnmergeableSnapshot: an envelope whose own series clash
+// across kinds, or that carries a negative counter, cannot be merged into a
+// registry, so the decoder must refuse it instead of letting a later merge
+// panic.
+func TestWireRejectsUnmergeableSnapshot(t *testing.T) {
+	for _, in := range []string{
+		`{"version":1,"source":{"id":"0"},"snapshot":{"counters":[{}],"histograms":[{}]}}`,
+		`{"version":1,"source":{"id":"s"},"snapshot":{"counters":[{"name":"m","value":1}],"gauges":[{"name":"m","value":2}]}}`,
+		`{"version":1,"source":{"id":"s"},"snapshot":{"gauges":[{"name":"m","labels":[{"k":"a","v":"b"}]}],"histograms":[{"name":"m"}]}}`,
+		`{"version":1,"source":{"id":"s"},"snapshot":{"counters":[{"name":"m","value":-1}]}}`,
+	} {
+		if _, err := DecodeWire(strings.NewReader(in)); err == nil {
+			t.Errorf("decode accepted %s", in)
+		}
+	}
+}

@@ -46,13 +46,6 @@ type Config struct {
 	// SIMD stepping (zero value, the default) or turbo.Radix2 for the
 	// scalar reference. Outputs are bit-identical either way.
 	DecoderRadix turbo.Radix
-	// DecodeCheckCadence is the turbo decoder's CRC early-termination
-	// cadence: run the check every Nth half-iteration instead of every one.
-	// 0 (and 1) keep the measured optimum for the int16 path — a CRC pass
-	// costs ~1% of a constituent pass there, so checking every half
-	// iteration is essentially free and terminates earliest. The knob
-	// exists for profiling the trade on other hardware.
-	DecodeCheckCadence int
 	// DecodeBatch groups this many code blocks into each decode subtask,
 	// decoded together through turbo.Batch under a shared half-iteration
 	// schedule (kernel tables stay hot across blocks). 0 or 1 keeps the

@@ -10,8 +10,8 @@ import (
 // Pipeliner overlaps the processing of consecutive subframes — the paper's
 // Fig. 5 pipelining: stage N of subframe j runs concurrently with stage N−1
 // of subframe j+1, because the precedence constraints are per subframe, not
-// global. Depth receivers are in flight at once, each borrowed from an
-// Arena; when a shared Pool is supplied, every in-flight subframe drives its
+// global. Depth receivers are in flight at once, each borrowed from a
+// Lender; when a shared Pool is supplied, every in-flight subframe drives its
 // stages through a private Lane so their subtasks interleave on the same
 // workers and no core idles while any subframe has runnable work.
 //
@@ -25,10 +25,17 @@ type Pipeliner struct {
 	closed atomic.Bool
 }
 
+// Lender lends receivers to a Pipeliner. *Arena is the production lender;
+// tests wrap it to stall or fail a Get.
+type Lender interface {
+	Get(cfg Config) (*Receiver, error)
+	Put(rx *Receiver)
+}
+
 // PipelinerConfig configures a Pipeliner.
 type PipelinerConfig struct {
 	// Arena lends the in-flight receivers. Required.
-	Arena *Arena
+	Arena Lender
 	// Pool, when non-nil with more than one worker, fans each stage's
 	// subtasks out across the shared workers (each in-flight subframe on its
 	// own Lane). Nil runs each subframe's stages serially on its pipeline
@@ -38,8 +45,9 @@ type PipelinerConfig struct {
 	// Depth is the in-flight window: how many subframes may be processing
 	// at once. Values below 1 mean 1 (serial, but still asynchronous).
 	Depth int
-	// OnStart, when non-nil, is called as a subframe leaves the Submit
-	// queue and begins processing.
+	// OnStart, when non-nil, is called once the subframe's receiver is lent,
+	// just before its first stage runs. A subframe whose Get fails gets
+	// OnDone with the error and no OnStart.
 	OnStart func(tag uint64)
 	// OnStage, when non-nil, is called after each pipeline stage completes.
 	OnStage func(tag uint64, stage TaskName, elapsed time.Duration)
@@ -106,16 +114,15 @@ func (pl *Pipeliner) worker() {
 		ln = pl.pc.Pool.NewLane()
 	}
 	for j := range pl.jobs {
-		if f := pl.pc.OnStart; f != nil {
-			f(j.tag)
-		}
 		rx, res, err := pl.process(ln, j)
 		if f := pl.pc.OnDone; f != nil {
 			f(j.tag, res, err)
 		}
 		// After OnDone: res aliases rx's scratch, so the receiver may only
 		// recirculate once the callback has consumed it.
-		pl.pc.Arena.Put(rx)
+		if rx != nil {
+			pl.pc.Arena.Put(rx)
+		}
 	}
 }
 
@@ -125,6 +132,9 @@ func (pl *Pipeliner) process(ln *Lane, j pipeJob) (*Receiver, Result, error) {
 	rx, err := pl.pc.Arena.Get(j.cfg)
 	if err != nil {
 		return nil, Result{}, err
+	}
+	if f := pl.pc.OnStart; f != nil {
+		f(j.tag)
 	}
 	stages, err := rx.Pipeline(j.iq, j.n0)
 	if err != nil {

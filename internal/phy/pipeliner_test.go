@@ -195,8 +195,8 @@ func TestPipelinerMatchesSerial(t *testing.T) {
 }
 
 // TestPipelinerLifecycle covers the construction and shutdown edges: missing
-// arena, config errors surfacing through OnDone, Submit-after-Close, and
-// double Close.
+// arena, config errors surfacing through OnDone (without OnStart),
+// Submit-after-Close, and double Close.
 func TestPipelinerLifecycle(t *testing.T) {
 	if _, err := NewPipeliner(PipelinerConfig{}); err == nil {
 		t.Fatal("pipeliner without arena accepted")
@@ -204,8 +204,10 @@ func TestPipelinerLifecycle(t *testing.T) {
 
 	var mu sync.Mutex
 	var errs []error
+	var starts atomic.Int64
 	pl, err := NewPipeliner(PipelinerConfig{
-		Arena: NewArena(),
+		Arena:   NewArena(),
+		OnStart: func(tag uint64) { starts.Add(1) },
 		OnDone: func(tag uint64, res Result, err error) {
 			mu.Lock()
 			errs = append(errs, err)
@@ -226,6 +228,10 @@ func TestPipelinerLifecycle(t *testing.T) {
 	pl.Close() // idempotent
 	if len(errs) != 1 || errs[0] == nil {
 		t.Fatalf("invalid config outcome = %v, want one error", errs)
+	}
+	// Processing starts once a receiver is lent: a failed Get is no start.
+	if starts.Load() != 0 {
+		t.Fatalf("OnStart fired %d times for a subframe that got no receiver", starts.Load())
 	}
 	if err := pl.Submit(1, Config{}, nil, 0); err == nil {
 		t.Fatal("Submit after Close accepted")

@@ -229,20 +229,25 @@ func TestArenaHitsAndMisses(t *testing.T) {
 }
 
 // TestArenaRecycledReceiverDecodes: a receiver that went through the arena
-// must keep decoding correctly (its scratch is reset per subframe).
+// must keep decoding correctly (its scratch is reset per subframe). Every
+// round after the first decodes on the receiver the previous round used,
+// taken back from the arena.
 func TestArenaRecycledReceiverDecodes(t *testing.T) {
 	a := NewArena()
 	cfg := testConfig(21, 2)
 	tx, _ := NewTransmitter(cfg)
 	ch, _ := channel.New(30, 2, 650)
+	rx, err := a.Get(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for round := 0; round < 3; round++ {
+		if round > 0 {
+			rx = recycle(t, a, rx)
+		}
 		payload := randomPayload(t, tx, uint64(660+round))
 		wave, _ := tx.Transmit(payload)
 		iq, _ := ch.Apply(wave)
-		rx, err := a.Get(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
 		res, err := rx.Process(iq, ch.N0())
 		if err != nil {
 			t.Fatal(err)
@@ -250,9 +255,25 @@ func TestArenaRecycledReceiverDecodes(t *testing.T) {
 		if !res.OK || bits.HammingDistance(res.Payload, payload) != 0 {
 			t.Fatalf("round %d: recycled receiver failed to decode", round)
 		}
+	}
+}
+
+// recycle returns rx to the arena and borrows until the arena lends that
+// same receiver back. sync.Pool may drop a Put (it deliberately does so at
+// random under the race detector), and the Get then builds a fresh
+// receiver, so rx is offered again until it comes back.
+func recycle(t *testing.T, a *Arena, rx *Receiver) *Receiver {
+	t.Helper()
+	for try := 0; try < 50; try++ {
 		a.Put(rx)
+		got, err := a.Get(rx.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got == rx {
+			return got
+		}
 	}
-	if h, _ := a.Stats(); h < 1 {
-		t.Fatal("no arena hits across rounds")
-	}
+	t.Fatal("arena never lent the receiver back")
+	return nil
 }

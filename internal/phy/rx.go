@@ -130,7 +130,6 @@ func NewReceiver(cfg Config) (*Receiver, error) {
 		dec.MaxIterations = cfg.maxIter()
 		dec.Path = cfg.DecoderPath
 		dec.Radix = cfg.DecoderRadix
-		dec.CheckCadence = cfg.DecodeCheckCadence
 		rx.rms = append(rx.rms, rm)
 		rx.decoders = append(rx.decoders, dec)
 		// The iteration-0 raw-hard-decision pre-check only ever pays when

@@ -46,29 +46,20 @@ type Config struct {
 	// Dilation stretches the 1 ms subframe clock and the 2 ms budget by
 	// the same factor (default 50).
 	Dilation float64
-	// Pool is how many distinct pre-encoded subframes to rotate through
-	// per basestation (default 4). Pre-encoding keeps the feeder loop off
-	// the transmit path.
-	Pool int
 	// PHYWorkers is the intra-subframe fan-out: each worker core executes
 	// every pipeline stage's subtasks (per antenna-symbol FFTs, per
 	// code-block decodes, …) on a phy.Pool of this many workers — the
 	// paper's parallel subtask execution, layered on top of the partitioned
 	// core map. ≤1 runs the stages serially with no pool.
 	PHYWorkers int
-	// PipelineDepth is the cross-subframe window per core: ≥2 lets stage N
-	// of subframe j run concurrently with stage N−1 of subframe j+1 (the
-	// paper's Fig. 5 precedence pipelining) through a phy.Pipeliner, with
-	// receivers for the in-flight window borrowed from the shared arena.
-	// ≤1 keeps the serial one-subframe-at-a-time loop.
+	// PipelineDepth is the cross-subframe window per core: how many of the
+	// core's subframes its phy.Pipeliner processes at once, each on a
+	// receiver borrowed from the shared arena. ≥2 lets stage N of subframe j
+	// run concurrently with stage N−1 of subframe j+1 (the paper's Fig. 5
+	// precedence pipelining); ≤1 is a window of one, so the core finishes
+	// each subframe before it starts the next.
 	PipelineDepth int
-	// DecodeBatch is phy.Config's knob of the same name: code blocks per
-	// batched decode subtask. 0 selects automatically — all blocks decode
-	// as one turbo.Batch when the stages run serially on their core
-	// (PHYWorkers ≤ 1), while a phy.Pool fan-out keeps one subtask per
-	// block so decode still spreads across the workers.
-	DecodeBatch int
-	Seed        uint64
+	Seed          uint64
 	// Tracer, when non-nil, receives the run's event stream (arrivals,
 	// starts, per-stage phases, drops, finishes) with times in microseconds
 	// since the feeder epoch. The sink is wrapped with trace.Locked because
@@ -94,21 +85,15 @@ func (c Config) dilation() float64 {
 	return c.Dilation
 }
 
-func (c Config) pool() int {
-	if c.Pool <= 0 {
-		return 4
-	}
-	return c.Pool
-}
-
 // batchAll exceeds any LTE code-block count, collapsing decode to a single
 // batched subtask.
 const batchAll = 1 << 10
 
+// decodeBatch is the code blocks per decode subtask: all blocks decode as
+// one turbo.Batch when a core runs its stages serially (PHYWorkers ≤ 1),
+// while a phy.Pool fan-out keeps one subtask per block so decode still
+// spreads across the workers.
 func (c Config) decodeBatch() int {
-	if c.DecodeBatch != 0 {
-		return c.DecodeBatch
-	}
 	if c.PHYWorkers > 1 {
 		return 1
 	}
@@ -116,7 +101,7 @@ func (c Config) decodeBatch() int {
 }
 
 // rxConfig is the receiver-side phy configuration: phyConfig plus the
-// decode batching the run's execution mode wants.
+// decode batching the core's execution wants.
 func (c Config) rxConfig(mcs int) phy.Config {
 	pc := phyConfig(mcs, c.Antennas)
 	pc.DecodeBatch = c.decodeBatch()
@@ -176,16 +161,22 @@ type job struct {
 	release time.Time
 }
 
-// arenaGet is how workers borrow receivers; tests swap it to inject
-// acquisition failures and prove dropped subframes are recorded, not
-// silently skipped.
-var arenaGet = func(a *phy.Arena, cfg phy.Config) (*phy.Receiver, error) {
-	return a.Get(cfg)
+// lender wraps the run's receiver arena as the cores' phy.Lender; tests
+// swap it to stall or fail a Get and prove that dropped subframes are
+// recorded, not silently skipped.
+var lender = func(a *phy.Arena) phy.Lender { return a }
+
+// inflight is one subframe inside a core's pipeline window.
+type inflight struct {
+	release time.Time
+	start   time.Time // zero until the receiver is lent
 }
 
-// Run executes the live partitioned schedule: CoresPerBS worker goroutines
-// per basestation, each locked to an OS thread, fed every dilated
-// millisecond in the paper's round-robin core mapping.
+// Run executes the live partitioned schedule: CoresPerBS worker cores per
+// basestation, fed every dilated millisecond in the paper's round-robin core
+// mapping. Each core is a goroutine that hands its subframes to a
+// phy.Pipeliner with a window of PipelineDepth; only the feeder locks its
+// OS thread.
 func Run(cfg Config) (*Stats, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -224,7 +215,6 @@ func Run(cfg Config) (*Stats, error) {
 		for j := 0; j < cfg.Subframes; j++ {
 			mcsAt[bs][j] = seen[mcsAt[bs][j]]
 		}
-		_ = cfg.pool() // pool size is bounded by distinct MCS values
 	}
 
 	nCores := cfg.Basestations * cfg.CoresPerBS
@@ -287,11 +277,10 @@ func Run(cfg Config) (*Stats, error) {
 	// recycle warmed scratch instead of each holding a private copy per MCS.
 	arena := phy.NewArena()
 	arena.PublishTo(cfg.Obs)
+	rxs := lender(arena)
 	var mu sync.Mutex
 
-	// account settles one processed subframe against its deadline — shared
-	// by the serial loop and the pipelined completion callback so both paths
-	// classify outcomes identically.
+	// account settles one processed subframe against its deadline.
 	account := func(core, bs, idx int, release, start, done time.Time, res phy.Result, perr error) {
 		outcome := "ack"
 		procUS := done.Sub(start).Seconds() * 1e6
@@ -339,6 +328,7 @@ func Run(cfg Config) (*Stats, error) {
 		}
 	}
 
+	depth := max(cfg.PipelineDepth, 1)
 	var wg sync.WaitGroup
 	for core := 0; core < nCores; core++ {
 		core := core
@@ -353,51 +343,71 @@ func Run(cfg Config) (*Stats, error) {
 				pool = phy.NewPool(cfg.PHYWorkers)
 				defer pool.Close()
 			}
-			if cfg.PipelineDepth >= 2 {
-				runPipelined(cfg, core, bs, queues[core], pools[bs], mcsAt[bs],
-					arena, pool, tr, emit, lo, account, drop)
-				return
-			}
-			for j := range queues[core] {
-				pb := pools[bs][mcsAt[bs][j.idx]]
-				rx, err := arenaGet(arena, cfg.rxConfig(pb.mcs))
-				if err != nil {
-					// A subframe that cannot get a receiver is enforcement,
-					// not silence: it counts, it drops, and it traces, so
-					// the schedule's miss accounting stays truthful.
-					drop(time.Now(), core, bs, j.idx, "rx-unavailable")
-					continue
-				}
-				start := time.Now()
-				if tr != nil {
-					emit(start, core, bs, j.idx, trace.EvStart, "")
-				}
-				// Walk the pipeline stage by stage: each boundary gets an
-				// EvPhase when traced and a per-stage histogram sample, and
-				// each stage's subtasks fan out across the pool.
-				var res phy.Result
-				stages, err := rx.Pipeline(pb.iq, pb.n0)
-				if err == nil {
-					for _, stg := range stages {
-						stageStart := time.Now()
-						if tr != nil {
-							emit(stageStart, core, bs, j.idx, trace.EvPhase, string(stg.Name))
-						}
-						if pool != nil {
-							pool.Run(stg.Subtasks)
-						} else {
-							for _, sub := range stg.Subtasks {
-								sub()
-							}
-						}
-						lo.stage(stg.Name, time.Since(stageStart).Seconds()*1e6)
+			// The pipeliner reports by tag, the subframe index, on its own
+			// goroutines. start is written and read only on the goroutine
+			// that processes the subframe.
+			var fmu sync.Mutex
+			fl := make(map[uint64]*inflight, depth)
+			// slots is the window: the core takes a subframe off its queue
+			// only once a slot is free, so a queue-full drop sees the window
+			// plus the queue in backlog, and no subframe held in between.
+			slots := make(chan struct{}, depth)
+			pl, err := phy.NewPipeliner(phy.PipelinerConfig{
+				Arena: rxs,
+				Pool:  pool,
+				Depth: depth,
+				OnStart: func(tag uint64) {
+					fmu.Lock()
+					f := fl[tag]
+					fmu.Unlock()
+					f.start = time.Now()
+					if tr != nil {
+						emit(f.start, core, bs, int(tag), trace.EvStart, "")
 					}
-					res = rx.Result()
-				}
-				done := time.Now()
-				account(core, bs, j.idx, j.release, start, done, res, err)
-				arena.Put(rx) // res (aliasing rx's scratch) is fully consumed
+				},
+				OnStage: func(tag uint64, stage phy.TaskName, elapsed time.Duration) {
+					if tr != nil {
+						// The hook fires at stage completion; date the phase
+						// event back to the stage's start.
+						emit(time.Now().Add(-elapsed), core, bs, int(tag), trace.EvPhase, string(stage))
+					}
+					lo.stage(stage, elapsed.Seconds()*1e6)
+				},
+				OnDone: func(tag uint64, res phy.Result, perr error) {
+					done := time.Now()
+					fmu.Lock()
+					f := fl[tag]
+					delete(fl, tag)
+					fmu.Unlock()
+					if f.start.IsZero() {
+						// A subframe that cannot get a receiver is
+						// enforcement, not silence: it counts, it drops, and
+						// it traces, so the miss accounting stays truthful.
+						drop(done, core, bs, int(tag), "rx-unavailable")
+					} else {
+						account(core, bs, int(tag), f.release, f.start, done, res, perr)
+					}
+					<-slots
+				},
+			})
+			if err != nil {
+				panic(err) // only without a lender, and rxs is never nil
 			}
+			for {
+				slots <- struct{}{}
+				j, ok := <-queues[core]
+				if !ok {
+					break
+				}
+				pb := pools[bs][mcsAt[bs][j.idx]]
+				tag := uint64(j.idx)
+				fmu.Lock()
+				fl[tag] = &inflight{release: j.release}
+				fmu.Unlock()
+				// Submit fails only after Close, which follows this loop.
+				_ = pl.Submit(tag, cfg.rxConfig(pb.mcs), pb.iq, pb.n0)
+			}
+			pl.Close()
 		}()
 	}
 
@@ -432,93 +442,6 @@ func Run(cfg Config) (*Stats, error) {
 		tap.Close()
 	}
 	return st, nil
-}
-
-// runPipelined is one core's job loop with a cross-subframe window: up to
-// cfg.PipelineDepth subframes of this core are in flight at once through a
-// phy.Pipeliner, so stage N of one subframe overlaps stage N−1 of the next
-// (the paper's Fig. 5 precedence pipelining) instead of serializing whole
-// subframes. Outcome accounting flows through the same account/drop paths
-// as the serial loop.
-func runPipelined(cfg Config, core, bs int, queue chan job, pbs []prebuilt, mcsIdx []int,
-	arena *phy.Arena, ppool *phy.Pool, tr trace.Tracer,
-	emit func(at time.Time, core, bs, sf int, kind trace.Kind, detail string),
-	lo *liveObs,
-	account func(core, bs, idx int, release, start, done time.Time, res phy.Result, perr error),
-	drop func(at time.Time, core, bs, idx int, why string)) {
-
-	// In-flight bookkeeping: the pipeliner reports completions by tag (the
-	// subframe index, unique per core) on its own goroutines.
-	type inflight struct {
-		idx     int
-		release time.Time
-		start   time.Time
-	}
-	var pmu sync.Mutex
-	fl := make(map[uint64]*inflight)
-	pl, err := phy.NewPipeliner(phy.PipelinerConfig{
-		Arena: arena,
-		Pool:  ppool,
-		Depth: cfg.PipelineDepth,
-		OnStart: func(tag uint64) {
-			now := time.Now()
-			pmu.Lock()
-			f := fl[tag]
-			f.start = now
-			idx := f.idx
-			pmu.Unlock()
-			if tr != nil {
-				emit(now, core, bs, idx, trace.EvStart, "")
-			}
-		},
-		OnStage: func(tag uint64, stage phy.TaskName, elapsed time.Duration) {
-			if tr != nil {
-				pmu.Lock()
-				idx := fl[tag].idx
-				pmu.Unlock()
-				// The hook fires at stage completion; date the phase event
-				// back to the stage's start like the serial path does.
-				emit(time.Now().Add(-elapsed), core, bs, idx, trace.EvPhase, string(stage))
-			}
-			lo.stage(stage, elapsed.Seconds()*1e6)
-		},
-		OnDone: func(tag uint64, res phy.Result, perr error) {
-			done := time.Now()
-			pmu.Lock()
-			f := fl[tag]
-			delete(fl, tag)
-			pmu.Unlock()
-			if perr != nil {
-				// No receiver for this subframe: same enforcement as the
-				// serial path — recorded, never silently skipped.
-				drop(done, core, bs, f.idx, "rx-unavailable")
-				return
-			}
-			account(core, bs, f.idx, f.release, f.start, done, res, perr)
-		},
-	})
-	if err != nil {
-		// Only reachable with a nil arena; drain the queue as drops so the
-		// run still terminates with honest accounting.
-		for j := range queue {
-			drop(time.Now(), core, bs, j.idx, "pipeline-unavailable")
-		}
-		return
-	}
-	for j := range queue {
-		pb := pbs[mcsIdx[j.idx]]
-		tag := uint64(j.idx)
-		pmu.Lock()
-		fl[tag] = &inflight{idx: j.idx, release: j.release}
-		pmu.Unlock()
-		if err := pl.Submit(tag, cfg.rxConfig(pb.mcs), pb.iq, pb.n0); err != nil {
-			pmu.Lock()
-			delete(fl, tag)
-			pmu.Unlock()
-			drop(time.Now(), core, bs, j.idx, "rx-unavailable")
-		}
-	}
-	pl.Close()
 }
 
 func phyConfig(mcs, antennas int) phy.Config {

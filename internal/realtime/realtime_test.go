@@ -2,7 +2,10 @@ package realtime
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"testing"
+	"time"
 
 	"rtopex/internal/obs"
 	"rtopex/internal/phy"
@@ -180,106 +183,232 @@ func TestLiveRunObserved(t *testing.T) {
 	}
 }
 
+// failingLender refuses every receiver.
+type failingLender struct{}
+
+func (failingLender) Get(phy.Config) (*phy.Receiver, error) {
+	return nil, errors.New("injected: receiver unavailable")
+}
+
+func (failingLender) Put(*phy.Receiver) {}
+
+// withLender swaps the receiver lender of every Run in the test.
+func withLender(t *testing.T, wrap func(*phy.Arena) phy.Lender) {
+	orig := lender
+	lender = wrap
+	t.Cleanup(func() { lender = orig })
+}
+
 // TestArenaFailureIsRecordedDrop is the regression for the silently-skipped
 // subframe: when no receiver can be acquired, the subframe must still be
-// counted, recorded as a drop, traced as EvDrop, and mirrored into the live
-// registry — pre-fix code `continue`d and the subframe vanished from every
-// ledger.
+// counted, recorded as a drop, traced as EvDrop (with no EvStart), and
+// mirrored into the live registry — pre-fix code `continue`d and the
+// subframe vanished from every ledger.
 func TestArenaFailureIsRecordedDrop(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live run is wall-clock bound")
 	}
-	orig := arenaGet
-	arenaGet = func(a *phy.Arena, cfg phy.Config) (*phy.Receiver, error) {
-		return nil, errors.New("injected: receiver unavailable")
-	}
-	defer func() { arenaGet = orig }()
-
-	ring := trace.NewRing(0)
-	reg := obs.NewRegistry()
-	const n = 5
-	st, err := Run(Config{
-		Basestations: 1,
-		CoresPerBS:   2,
-		Subframes:    n,
-		Antennas:     1,
-		SNRdB:        30,
-		MCS:          0,
-		Dilation:     20,
-		Seed:         5,
-		Tracer:       ring,
-		Obs:          reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Subframes != n {
-		t.Fatalf("accounted %d subframes, want %d (drops must still count)", st.Subframes, n)
-	}
-	if st.Dropped != n {
-		t.Fatalf("dropped %d, want all %d", st.Dropped, n)
-	}
-	if st.Decoded != 0 || st.Missed != 0 || st.DecodeFail != 0 {
-		t.Fatalf("unexpected outcomes: %+v", *st)
-	}
-	drops := 0
-	for _, e := range ring.Events() {
-		if e.Event == trace.EvDrop {
-			drops++
-			if e.Detail != "rx-unavailable" {
-				t.Fatalf("drop detail %q, want rx-unavailable", e.Detail)
+	withLender(t, func(*phy.Arena) phy.Lender { return failingLender{} })
+	for _, depth := range []int{1, 2} {
+		t.Run(fmt.Sprintf("depth=%d", depth), func(t *testing.T) {
+			ring := trace.NewRing(0)
+			reg := obs.NewRegistry()
+			const n = 5
+			st, err := Run(Config{
+				Basestations:  1,
+				CoresPerBS:    2,
+				Subframes:     n,
+				Antennas:      1,
+				SNRdB:         30,
+				MCS:           0,
+				Dilation:      20,
+				Seed:          5,
+				PipelineDepth: depth,
+				Tracer:        ring,
+				Obs:           reg,
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	if drops != n {
-		t.Fatalf("%d EvDrop events, want %d", drops, n)
-	}
-	if got := reg.Counter("rtopex_live_dropped_total").Value(); got != n {
-		t.Fatalf("live dropped counter = %d, want %d", got, n)
+			if st.Subframes != n {
+				t.Fatalf("accounted %d subframes, want %d (drops must still count)", st.Subframes, n)
+			}
+			if st.Dropped != n {
+				t.Fatalf("dropped %d, want all %d", st.Dropped, n)
+			}
+			if st.Decoded != 0 || st.Missed != 0 || st.DecodeFail != 0 {
+				t.Fatalf("unexpected outcomes: %+v", *st)
+			}
+			drops := 0
+			for _, e := range ring.Events() {
+				switch e.Event {
+				case trace.EvDrop:
+					drops++
+					if e.Detail != "rx-unavailable" {
+						t.Fatalf("drop detail %q, want rx-unavailable", e.Detail)
+					}
+				case trace.EvStart:
+					t.Fatalf("subframe %d started without a receiver", e.Subframe)
+				}
+			}
+			if drops != n {
+				t.Fatalf("%d EvDrop events, want %d", drops, n)
+			}
+			if got := reg.Counter("rtopex_live_dropped_total").Value(); got != n {
+				t.Fatalf("live dropped counter = %d, want %d", got, n)
+			}
+		})
 	}
 }
 
-// TestLiveRunPipelined runs the cross-subframe window end to end: with
-// PipelineDepth 2 every subframe must still be accounted exactly once and
-// decode as in the serial mode.
+// stallLender holds every Get until gate closes, then lends from the arena.
+type stallLender struct {
+	*phy.Arena
+	gate chan struct{}
+}
+
+func (s stallLender) Get(cfg phy.Config) (*phy.Receiver, error) {
+	select {
+	case <-s.gate:
+	case <-time.After(10 * time.Second):
+		return nil, errors.New("stall never released")
+	}
+	return s.Arena.Get(cfg)
+}
+
+// gateSink records the run's events and closes gate once the feeder has
+// dropped subframe last.
+type gateSink struct {
+	*trace.Ring
+	last int
+	gate chan struct{}
+}
+
+func (g gateSink) Emit(e trace.Event) {
+	g.Ring.Emit(e)
+	if e.Event == trace.EvDrop && e.Subframe == g.last {
+		close(g.gate)
+	}
+}
+
+// TestStalledCoreBacklog stalls a core's receiver lending and counts the
+// backlog it holds before the feeder drops: the pipeline window plus the
+// 4-deep queue, so at depth 1 the 6th subframe is the first queue-full
+// drop. Processing — EvStart and ProcUS — begins only once the stalled
+// receiver is lent.
+func TestStalledCoreBacklog(t *testing.T) {
+	if testing.Short() {
+		t.Skip("live run is wall-clock bound")
+	}
+	const n = 8
+	for _, tc := range []struct{ depth, firstDrop int }{{0, 5}, {1, 5}, {2, 6}} {
+		t.Run(fmt.Sprintf("depth=%d", tc.depth), func(t *testing.T) {
+			gate := make(chan struct{})
+			withLender(t, func(a *phy.Arena) phy.Lender { return stallLender{a, gate} })
+			sink := gateSink{Ring: trace.NewRing(0), last: n - 1, gate: gate}
+			st, err := Run(Config{
+				Basestations:  1,
+				CoresPerBS:    1,
+				Subframes:     n,
+				Antennas:      1,
+				SNRdB:         30,
+				MCS:           0,
+				Dilation:      10,
+				Seed:          7,
+				PipelineDepth: tc.depth,
+				Tracer:        sink,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Subframes != n || st.Dropped != n-tc.firstDrop {
+				t.Fatalf("subframes %d dropped %d, want %d and %d", st.Subframes, st.Dropped, n, n-tc.firstDrop)
+			}
+			var lastDrop float64
+			start := map[int]float64{}
+			finish := map[int]float64{}
+			for _, e := range sink.Events() {
+				switch e.Event {
+				case trace.EvDrop:
+					if e.Detail != "queue-full" || e.Subframe < tc.firstDrop {
+						t.Fatalf("subframe %d dropped (%s); first queue-full drop should be %d",
+							e.Subframe, e.Detail, tc.firstDrop)
+					}
+					lastDrop = e.Time
+				case trace.EvStart:
+					start[e.Subframe] = e.Time
+				case trace.EvFinish:
+					finish[e.Subframe] = e.Time
+				}
+			}
+			if len(start) != tc.firstDrop || len(finish) != tc.firstDrop {
+				t.Fatalf("%d starts, %d finishes for %d processed subframes", len(start), len(finish), tc.firstDrop)
+			}
+			// Every processed subframe waited in a stalled Get until the last
+			// drop; its processing is dated from the lend, not from leaving
+			// the queue, and ProcUS is its EvStart→EvFinish span.
+			for sf, at := range start {
+				if at < lastDrop {
+					t.Fatalf("subframe %d started at %.0f µs, before its receiver was lent (%.0f µs)", sf, at, lastDrop)
+				}
+				proc := finish[sf] - at
+				found := false
+				for _, p := range st.ProcUS {
+					found = found || math.Abs(p-proc) < 1
+				}
+				if !found {
+					t.Fatalf("subframe %d: EvStart→EvFinish %.1f µs is in no ProcUS %v", sf, proc, st.ProcUS)
+				}
+			}
+		})
+	}
+}
+
+// TestLiveRunPipelined runs the cross-subframe window end to end: with a
+// window of one and of two subframes, every subframe must be accounted
+// exactly once and decode.
 func TestLiveRunPipelined(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live run is wall-clock bound")
 	}
-	ring := trace.NewRing(0)
-	const n = 8
-	st, err := Run(Config{
-		Basestations:  1,
-		CoresPerBS:    2,
-		Subframes:     n,
-		Antennas:      1,
-		SNRdB:         30,
-		MCS:           0,
-		Dilation:      30,
-		Seed:          6,
-		PipelineDepth: 2,
-		Tracer:        ring,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Subframes != n {
-		t.Fatalf("accounted %d subframes, want %d", st.Subframes, n)
-	}
-	if st.Decoded == 0 {
-		t.Fatal("nothing decoded in pipelined mode")
-	}
-	counts := map[trace.Kind]int{}
-	for _, e := range ring.Events() {
-		counts[e.Event]++
-	}
-	processed := st.Subframes - st.Dropped
-	if counts[trace.EvStart] != processed || counts[trace.EvFinish] != processed {
-		t.Fatalf("start=%d finish=%d for %d processed subframes",
-			counts[trace.EvStart], counts[trace.EvFinish], processed)
-	}
-	if counts[trace.EvPhase] != 4*processed {
-		t.Fatalf("%d phase events for %d processed subframes", counts[trace.EvPhase], processed)
+	for _, depth := range []int{1, 2} {
+		t.Run(fmt.Sprintf("depth=%d", depth), func(t *testing.T) {
+			ring := trace.NewRing(0)
+			const n = 8
+			st, err := Run(Config{
+				Basestations:  1,
+				CoresPerBS:    2,
+				Subframes:     n,
+				Antennas:      1,
+				SNRdB:         30,
+				MCS:           0,
+				Dilation:      30,
+				Seed:          6,
+				PipelineDepth: depth,
+				Tracer:        ring,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Subframes != n {
+				t.Fatalf("accounted %d subframes, want %d", st.Subframes, n)
+			}
+			if st.Decoded == 0 {
+				t.Fatal("nothing decoded in pipelined mode")
+			}
+			counts := map[trace.Kind]int{}
+			for _, e := range ring.Events() {
+				counts[e.Event]++
+			}
+			processed := st.Subframes - st.Dropped
+			if counts[trace.EvStart] != processed || counts[trace.EvFinish] != processed {
+				t.Fatalf("start=%d finish=%d for %d processed subframes",
+					counts[trace.EvStart], counts[trace.EvFinish], processed)
+			}
+			if counts[trace.EvPhase] != 4*processed {
+				t.Fatalf("%d phase events for %d processed subframes", counts[trace.EvPhase], processed)
+			}
+		})
 	}
 }
 

@@ -54,18 +54,6 @@ type Decoder struct {
 	// float64 soft streams; quantization happens inside Decode.
 	Path Path
 
-	// CheckCadence is the quantized path's early-termination schedule: the
-	// code-block CRC is evaluated after every CheckCadence-th constituent
-	// pass (half-iteration), and always after the final pass. 0 or 1 —
-	// the default — checks after every pass: on the int16 path a
-	// constituent pass costs ~100× a CRC sweep, so checking at every
-	// half-iteration is the measured optimum across the SNR sweep (a
-	// sparser cadence saves only the check itself but pays a whole extra
-	// pass whenever the skipped check would have terminated). The knob
-	// exists so that relationship can be re-measured as the kernels get
-	// faster; the float path keeps its fixed every-pass schedule.
-	CheckCadence int
-
 	// Radix selects the trellis stepping of the quantized constituent
 	// passes: fused two-stage SIMD sweeps (Radix4, the default) or the
 	// scalar single-stage reference (Radix2). Outputs are bit-identical;

@@ -121,24 +121,7 @@ func (r *quantRun) begin(d *Decoder, s0, s1, s2 []float64, check func([]byte) bo
 	r.res = Result{Bits: d.hard}
 }
 
-// shouldCheck applies the CRC-check cadence: pass is the 1-based
-// constituent-pass index (2 per full iteration); the final decoder-2 pass
-// is always checked so a cadence can never suppress the only verdict.
-func (r *quantRun) shouldCheck(pass int, final bool) bool {
-	if r.check == nil {
-		return false
-	}
-	if final {
-		return true
-	}
-	c := r.d.CheckCadence
-	if c <= 1 {
-		return true
-	}
-	return pass%c == 0
-}
-
-// half1 runs one decoder-1 pass and its cadenced CRC check. Reports (and
+// half1 runs one decoder-1 pass and its CRC check. Reports (and
 // records) whether the run is finished.
 func (r *quantRun) half1() bool {
 	d := r.d
@@ -153,7 +136,7 @@ func (r *quantRun) half1() bool {
 		la = nil
 	}
 	d.constituentPass(r.sys, r.par1, la, r.x1, r.z1, d.qle1, r.hard1)
-	if r.shouldCheck(2*r.it-1, false) && r.check(d.hard) {
+	if r.check != nil && r.check(d.hard) {
 		r.res.OK = true
 		r.done = true
 	}
@@ -161,7 +144,7 @@ func (r *quantRun) half1() bool {
 }
 
 // half2 runs one decoder-2 pass (preparing its inputs on first use), the
-// extrinsic deinterleave, and the cadenced CRC check. Reports (and
+// extrinsic deinterleave, and the CRC check. Reports (and
 // records) whether the run is finished.
 func (r *quantRun) half2() bool {
 	d := r.d
@@ -178,7 +161,7 @@ func (r *quantRun) half2() bool {
 	d.il.PermuteI16(d.qle1, d.qla2)
 	d.constituentPass(d.qsysI, r.par2, d.qla2, r.x2, r.z2, d.qle, hard2)
 	d.il.InverseI16(d.qle, d.qla)
-	if r.shouldCheck(2*r.it, r.it == d.MaxIterations) {
+	if r.check != nil {
 		d.il.Inverse(d.qhardI, d.hard)
 		if r.check(d.hard) {
 			r.res.OK = true
@@ -197,8 +180,8 @@ func (r *quantRun) half2() bool {
 }
 
 // decodeQuant is the int16 iteration pipeline. It mirrors decodeFloat
-// half-iteration for half-iteration; only the constituent arithmetic, the
-// buffer types, and the (configurable) check cadence differ.
+// half-iteration for half-iteration; only the constituent arithmetic and the
+// buffer types differ.
 func (d *Decoder) decodeQuant(s0, s1, s2 []float64, check func([]byte) bool) Result {
 	if d.MaxIterations < 1 {
 		if check == nil {

@@ -97,54 +97,3 @@ func TestRadix4AllocFree(t *testing.T) {
 		t.Fatalf("radix-4 Decode allocates %.1f objects per call, want 0", allocs)
 	}
 }
-
-// TestCheckCadenceSameBitsFewerChecks: thinning the CRC cadence must change
-// only *when* the check runs, never the trellis arithmetic — identical hard
-// decisions, strictly fewer check invocations, and the final pass always
-// checked. On a block the check accepts, a cadence-c decoder may run up to
-// c−1 half-iterations longer before it notices.
-func TestCheckCadenceSameBitsFewerChecks(t *testing.T) {
-	const k = 512
-	r := stats.NewRNG(83)
-	in := randomBlock(r, k)
-	streams, _ := EncodeStreams(in)
-	s := noisyStreams(r, streams, -4) // needs a few iterations
-	run := func(cadence int, accept bool) (Result, int) {
-		dec, err := NewDecoder(k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dec.MaxIterations = 6
-		dec.PrecheckRaw = false
-		dec.CheckCadence = cadence
-		calls := 0
-		want := append([]byte(nil), in...)
-		res := dec.Decode(s[0], s[1], s[2], func(b []byte) bool {
-			calls++
-			return accept && bits.HammingDistance(b, want) == 0
-		})
-		res.Bits = append([]byte(nil), res.Bits...)
-		return res, calls
-	}
-	// Rejecting check: full iteration run either way, same bits, fewer calls.
-	r1, c1 := run(1, false)
-	r3, c3 := run(3, false)
-	if d := bits.HammingDistance(r1.Bits, r3.Bits); d != 0 {
-		t.Fatalf("cadence changed %d hard decisions with a rejecting check", d)
-	}
-	if c3 >= c1 {
-		t.Fatalf("cadence 3 ran %d checks, cadence 1 ran %d — no thinning", c3, c1)
-	}
-	// Accepting check: both terminate OK; cadence can only delay, not miss.
-	a1, _ := run(1, true)
-	a3, _ := run(3, true)
-	if !a1.OK || !a3.OK {
-		t.Fatalf("early termination lost under cadence: OK %v vs %v", a1.OK, a3.OK)
-	}
-	if a3.Iterations < a1.Iterations {
-		t.Fatalf("cadence 3 terminated earlier (%d) than every-pass (%d)", a3.Iterations, a1.Iterations)
-	}
-	if d := bits.HammingDistance(a1.Bits, a3.Bits); d != 0 {
-		t.Fatalf("cadence changed %d decoded bits with an accepting check", d)
-	}
-}
